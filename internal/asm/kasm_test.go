@@ -39,7 +39,7 @@ func TestShippedKernels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
-		d, err := sim.NewDevice(cfg, sim.DefaultTiming(), pre, nil, nil)
+		d, err := sim.New(sim.DeviceSpec{Config: cfg, Timing: sim.DefaultTiming(), Kernel: pre})
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}

@@ -50,7 +50,8 @@ func TestCleanRunsPassEveryPolicy(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mem := append([]uint64(nil), input...)
-			d, err := sim.NewDevice(cfg, sim.DefaultTiming(), tc.kern, tc.pol, mem)
+			d, err := sim.New(sim.DeviceSpec{Config: cfg, Timing: sim.DefaultTiming(), Kernel: tc.kern},
+				sim.WithPolicy(tc.pol), sim.WithGlobal(mem))
 			if err != nil {
 				t.Fatalf("device: %v", err)
 			}

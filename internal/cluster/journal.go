@@ -1,32 +1,17 @@
 package cluster
 
-import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"log/slog"
-	"os"
-	"sync"
+import "regmutex/internal/service"
 
-	"regmutex/internal/service"
-)
-
-// journal is the router's failover-replay log, the same JSONL shape as
-// the instance journal one level down: an "accept" record per admitted
-// job, an "assign" per instance placement, a "finish" per terminal
-// state. On restart, accepted jobs with no finish record — lost to a
-// router crash, possibly together with the instance that held them —
-// are re-routed. Re-routing is safe because the end state dedups by
+// The journal is the router's failover-replay log (internal/jsonl), the
+// same shape as the instance journal one level down: an "accept" record
+// per admitted job, an "assign" per instance placement, a "finish" per
+// terminal state. On restart, accepted jobs with no finish record — lost
+// to a router crash, possibly together with the instance that held them
+// — are re-routed. Re-routing is safe because the end state dedups by
 // fingerprint: if the original instance completed the job, affinity
 // routing sends the replay to the same instance and the memo answers
 // from cache; if the instance died, the replay is a fresh simulation
 // elsewhere.
-type journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	sync bool
-}
 
 // journalRecord is one line of the router journal.
 type journalRecord struct {
@@ -37,75 +22,6 @@ type journalRecord struct {
 	Instance string                 `json:"instance,omitempty"` // assign only
 	RemoteID string                 `json:"remote_id,omitempty"`
 	End      string                 `json:"state,omitempty"` // finish only
-}
-
-// openJournal mirrors the instance journal's crash tolerance: a torn
-// final line is skipped with a structured warning, earlier corruption
-// refuses to open.
-func openJournal(path string, sync bool, log *slog.Logger) (*journal, []journalRecord, error) {
-	if path == "" {
-		return nil, nil, nil
-	}
-	var records []journalRecord
-	if data, err := os.ReadFile(path); err == nil {
-		sc := bufio.NewScanner(bytes.NewReader(data))
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-		torn, line := -1, 0
-		for sc.Scan() {
-			line++
-			if torn >= 0 {
-				return nil, nil, fmt.Errorf("router journal %s: corrupt record at line %d (not the final line — refusing to replay)", path, torn)
-			}
-			var rec journalRecord
-			if json.Unmarshal(sc.Bytes(), &rec) != nil {
-				torn = line
-				continue
-			}
-			records = append(records, rec)
-		}
-		if err := sc.Err(); err != nil {
-			return nil, nil, fmt.Errorf("router journal %s: %w", path, err)
-		}
-		if torn >= 0 {
-			log.Warn("router journal: skipping torn final record (crash mid-append)",
-				"subsystem", "cluster", "path", path, "line", torn)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &journal{f: f, sync: sync}, records, nil
-}
-
-func (j *journal) append(rec journalRecord) error {
-	if j == nil {
-		return nil
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("router journal: %w", err)
-	}
-	if !j.sync {
-		return nil
-	}
-	return j.f.Sync()
-}
-
-func (j *journal) close() {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.f.Close()
 }
 
 // pendingJobs folds the record list into accepted-but-unfinished jobs in

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"regmutex/internal/jsonl"
 	"regmutex/internal/obs"
 	"regmutex/internal/service"
 )
@@ -119,7 +120,7 @@ type Router struct {
 	insts       []*instance
 	client      *client
 	probeClient *http.Client
-	journal     *journal
+	journal     *jsonl.Log[journalRecord]
 	metrics     *obs.Registry
 	spans       *obs.SpanRecorder
 	log         *slog.Logger
@@ -149,9 +150,13 @@ func New(cfg Config) (*Router, error) {
 		log = obs.NopLogger()
 	}
 	log = log.With("subsystem", "cluster")
-	jn, records, err := openJournal(cfg.JournalPath, !cfg.JournalNoSync, log)
+	jn, records, torn, err := jsonl.Open[journalRecord](cfg.JournalPath, !cfg.JournalNoSync)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("router journal %w", err)
+	}
+	if torn > 0 {
+		log.Warn("router journal: dropped torn final record (crash mid-append)",
+			"path", cfg.JournalPath, "line", torn)
 	}
 	r := &Router{
 		cfg:         cfg,
@@ -197,6 +202,14 @@ func New(cfg Config) (*Router, error) {
 		r.metrics.Counter(name)
 	}
 	r.metrics.Histogram("cluster.route_e2e_seconds")
+	// Fresh IDs start past every journaled one: a reused ID would let an
+	// old finish record shadow the new job's accept on the next replay.
+	for _, rec := range records {
+		var n int64
+		if _, err := fmt.Sscanf(rec.ID, "r%d", &n); err == nil && n > r.nextID {
+			r.nextID = n
+		}
+	}
 	for _, rec := range pendingJobs(records) {
 		j := r.trackReplayed(rec.ID, *rec.Req)
 		r.replays = append(r.replays, j)
@@ -204,16 +217,10 @@ func New(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// trackReplayed registers a journal-replayed job under its original ID
-// and bumps nextID past it.
+// trackReplayed registers a journal-replayed job under its original ID.
 func (r *Router) trackReplayed(id string, req service.SubmitRequest) *Job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.nextID++
-	var n int64
-	if _, err := fmt.Sscanf(id, "r%d", &n); err == nil && n >= r.nextID {
-		r.nextID = n + 1
-	}
 	j := newJob(id, req)
 	r.jobs[id] = j
 	if _, dup := r.flights[j.FP]; !dup {
@@ -304,23 +311,33 @@ func (r *Router) Submit(req service.SubmitRequest) (*Job, *service.ErrorBody) {
 	j := newJob(id, req)
 	r.jobs[id] = j
 	r.mu.Unlock()
-	if err := r.journal.append(journalRecord{Op: "accept", ID: id,
+	if err := r.journal.Append(journalRecord{Op: "accept", ID: id,
 		FP: fmt.Sprintf("%016x", j.FP), Req: &req}); err != nil {
 		r.mu.Lock()
 		delete(r.jobs, id)
 		r.mu.Unlock()
-		return nil, &service.ErrorBody{Code: service.CodeInternal, Message: err.Error()}
+		return nil, &service.ErrorBody{Code: service.CodeInternal, Message: "router journal: " + err.Error()}
 	}
 	r.metrics.Counter("cluster.jobs_accepted").Inc()
 	r.launch(j)
 	return j, nil
 }
 
+// appendJournal writes a record whose loss must not fail the job. A lost
+// finish record re-routes the job on the next start, so the failure is
+// logged with what it affects.
+func (r *Router) appendJournal(rec journalRecord) {
+	if err := r.journal.Append(rec); err != nil {
+		r.log.Warn("router journal: "+rec.Op+" record lost",
+			"path", r.cfg.JournalPath, "job", rec.ID, "err", err)
+	}
+}
+
 // finish journals the terminal state and closes out metrics plus the
 // job's root route span (accept to terminal, every failover included).
 func (r *Router) finish(j *Job) {
 	state := j.State()
-	r.journal.append(journalRecord{Op: "finish", ID: j.ID, End: state})
+	r.appendJournal(journalRecord{Op: "finish", ID: j.ID, End: state})
 	r.metrics.Histogram("cluster.route_e2e_seconds").Observe(j.age().Seconds())
 	v0 := j.View()
 	note := state
@@ -550,7 +567,7 @@ func (r *Router) attemptOn(ctx context.Context, in *instance, j *Job) (view *ser
 	}
 	j.assign(in.name, accepted.ID)
 	j.setState(service.StateRunning, nil, nil)
-	r.journal.append(journalRecord{Op: "assign", ID: j.ID, Instance: in.name, RemoteID: accepted.ID})
+	r.appendJournal(journalRecord{Op: "assign", ID: j.ID, Instance: in.name, RemoteID: accepted.ID})
 
 	if err := r.followEvents(ctx, in, accepted.ID, j); err != nil {
 		if j.isCanceled() {
@@ -773,5 +790,5 @@ func (r *Router) Close() {
 	default:
 		close(r.stop)
 	}
-	r.journal.close()
+	r.journal.Close()
 }

@@ -262,6 +262,10 @@ func TestClientJitterSeededReproducible(t *testing.T) {
 	}
 }
 
+// TestRouterJournalTornTailAndReplaySet: a torn final append is dropped
+// with a structured warning, the unfinished job replays, and the records
+// appended after the crash land on lines of their own — a finished job
+// never replays again and later restarts open cleanly.
 func TestRouterJournalTornTailAndReplaySet(t *testing.T) {
 	path := t.TempDir() + "/router.jsonl"
 	req := &service.SubmitRequest{Workload: "bfs", Policy: "static"}
@@ -284,17 +288,51 @@ func TestRouterJournalTornTailAndReplaySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jn, records, err := openJournal(path, true, logger)
-	if err != nil {
-		t.Fatalf("openJournal on torn tail: %v", err)
+	// Never started: New replays into the job table, nothing routes.
+	cfg := testRouterConfig([]string{"http://127.0.0.1:1"})
+	cfg.JournalPath = path
+	cfg.Logger = logger
+	restart := func() (*Router, []string) {
+		t.Helper()
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		var ids []string
+		for _, v := range r.Jobs() {
+			ids = append(ids, v.ID)
+		}
+		return r, ids
 	}
-	defer jn.close()
+
+	r, ids := restart()
 	if !strings.Contains(logs.String(), "torn final record") {
 		t.Fatalf("no structured torn-record warning:\n%s", logs.String())
 	}
-	pending := pendingJobs(records)
-	if len(pending) != 1 || pending[0].ID != "r000002" {
-		t.Fatalf("pending = %+v, want exactly the unfinished r000002", pending)
+	if len(ids) != 1 || ids[0] != "r000002" {
+		t.Fatalf("replayed %v, want exactly the unfinished r000002", ids)
+	}
+	r.Cancel("r000002") // journals a finish after the torn tail
+	r.Close()
+
+	r, ids = restart()
+	if len(ids) != 0 {
+		t.Fatalf("restart after the finish replayed %v, want nothing", ids)
+	}
+	j, body := r.Submit(*req)
+	if body != nil {
+		t.Fatal(body)
+	}
+	if j.ID == "r000001" || j.ID == "r000002" {
+		t.Fatalf("fresh submit reused journaled ID %s", j.ID)
+	}
+	r.Cancel(j.ID)
+	r.Close()
+
+	r, ids = restart()
+	defer r.Close()
+	if len(ids) != 0 {
+		t.Fatalf("third restart replayed %v, want nothing", ids)
 	}
 }
 
@@ -304,8 +342,10 @@ func TestRouterJournalMidFileCorruptionRefuses(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := openJournal(path, true, obs.NopLogger())
+	cfg := testRouterConfig([]string{"http://127.0.0.1:1"})
+	cfg.JournalPath = path
+	_, err := New(cfg)
 	if err == nil || !strings.Contains(err.Error(), "corrupt record at line 2") {
-		t.Fatalf("openJournal = %v, want corrupt-record error naming line 2", err)
+		t.Fatalf("New = %v, want corrupt-record error naming line 2", err)
 	}
 }

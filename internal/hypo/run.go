@@ -40,8 +40,6 @@ type SeedRun struct {
 	// Err is the typed failure class ("deadlock", "livelock", ...) —
 	// stable vocabulary, so reports stay deterministic even on failure.
 	Err string `json:"err,omitempty"`
-
-	err error // the real error, for in-process consumers (Fig9Rows)
 }
 
 // Agg summarizes one metric across a cell's seeds, computed from an obs
@@ -186,7 +184,6 @@ func Run(spec *Spec, ro RunOptions) (*Result, error) {
 			sr := SeedRun{Seed: seed}
 			if err != nil {
 				sr.Err = harness.ErrKind(err)
-				sr.err = err
 				cr.Failed++
 				res.FailedRuns++
 			} else {

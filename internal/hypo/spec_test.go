@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"regmutex/internal/harness"
 )
 
 const validPareto = `
@@ -226,5 +228,27 @@ func TestCellLabel(t *testing.T) {
 	c.SMs, c.GlobalLatency = 4, 800
 	if got := c.Label(); !strings.Contains(got, "sms=4") || !strings.Contains(got, "global_latency=800") {
 		t.Fatalf("Label() = %q missing optional knobs", got)
+	}
+}
+
+// TestRunUnknownWorkloadSurfacesError covers the engine's spec-level
+// error path (a workload validation would normally catch; expand-time
+// lookup still fails typed).
+func TestRunUnknownWorkloadSurfacesError(t *testing.T) {
+	s, err := Parse([]byte(validPareto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Matrix.Workloads = []string{"not-a-workload"} // bypasses Validate on purpose
+	if _, err := Run(s, RunOptions{Jobs: 1}); err == nil {
+		t.Fatal("Run accepted an unknown workload")
+	}
+	// And SubmitNamed rejects unknown policies with the typed error.
+	s.Matrix.Workloads = []string{"bfs"}
+	s.Matrix.Policies = []string{"banana"}
+	_, err = Run(s, RunOptions{Jobs: 1})
+	var nf *harness.NotFoundError
+	if !errors.As(err, &nf) || nf.Kind != "policy" {
+		t.Fatalf("err = %v, want *harness.NotFoundError{Kind: policy}", err)
 	}
 }

@@ -252,16 +252,18 @@ func handleEvents(s *Service, w http.ResponseWriter, r *http.Request, keepalive 
 			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
 			since = ev.Seq + 1
 			if ev.Type == "state" && terminal(ev.State) {
-				flusher.Flush()
 				// Stream stage: the delivery tail from job finish (or
 				// stream attach, if the watcher arrived later) to the
-				// final flush of the terminal frame.
+				// terminal frame. Like the ?wait path, it is recorded
+				// before the frame goes out, so the span exists by the
+				// time the client holds the result.
 				_, _, finished := j.spanTimes()
 				start := finished
 				if t0.After(start) {
 					start = t0
 				}
 				s.recordSpan(j, obs.StageStream, start, time.Now(), "sse")
+				flusher.Flush()
 				return
 			}
 		}

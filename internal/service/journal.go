@@ -1,26 +1,11 @@
 package service
 
-import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"log/slog"
-	"os"
-	"sync"
-)
-
-// journal is the service's crash-safety log: one JSONL record per job
-// acceptance and one per finish. On restart, replay returns the accepted
-// jobs with no finish record — exactly the work a crash or SIGKILL (or a
-// SIGTERM that interrupted running sims) left behind, which the service
-// re-queues. Client-canceled and completed jobs have finish records and
-// stay dead.
-type journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	sync bool
-}
+// The journal is the service's crash-safety log (internal/jsonl): one
+// record per job acceptance and one per finish. On restart, pendingJobs
+// returns the accepted jobs with no finish record — exactly the work a
+// crash or SIGKILL (or a SIGTERM that interrupted running sims) left
+// behind, which the service re-queues. Client-canceled and completed
+// jobs have finish records and stay dead.
 
 // journalRecord is one line of the journal file.
 type journalRecord struct {
@@ -28,83 +13,6 @@ type journalRecord struct {
 	ID  string         `json:"id"`
 	Req *SubmitRequest `json:"req,omitempty"`   // accept only
 	End string         `json:"state,omitempty"` // finish only
-}
-
-// openJournal reads any existing records at path and opens the file for
-// appending. A torn final line — the partial write a crash mid-append
-// leaves behind — is skipped with a structured warning; a record that
-// fails to parse anywhere *before* the final line is not a crash
-// artifact but corruption, and fails the open rather than silently
-// dropping accepted jobs. sync=false skips the per-append fsync. An
-// empty path disables journalling.
-func openJournal(path string, sync bool, log *slog.Logger) (*journal, []journalRecord, error) {
-	if path == "" {
-		return nil, nil, nil
-	}
-	var records []journalRecord
-	if data, err := os.ReadFile(path); err == nil {
-		sc := bufio.NewScanner(bytes.NewReader(data))
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-		torn := -1 // line number of a record that failed to parse
-		line := 0
-		for sc.Scan() {
-			line++
-			if torn >= 0 {
-				return nil, nil, fmt.Errorf("journal %s: corrupt record at line %d (not the final line — refusing to replay)", path, torn)
-			}
-			var rec journalRecord
-			if json.Unmarshal(sc.Bytes(), &rec) != nil {
-				torn = line
-				continue
-			}
-			records = append(records, rec)
-		}
-		if err := sc.Err(); err != nil {
-			return nil, nil, fmt.Errorf("journal %s: %w", path, err)
-		}
-		if torn >= 0 {
-			log.Warn("journal: skipping torn final record (crash mid-append)",
-				"subsystem", "journal", "path", path, "line", torn)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &journal{f: f, sync: sync}, records, nil
-}
-
-// append writes one record and (unless fsync is disabled) flushes it to
-// stable storage before returning, so an accepted job survives an
-// immediate crash.
-func (j *journal) append(rec journalRecord) error {
-	if j == nil {
-		return nil
-	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if !j.sync {
-		return nil
-	}
-	return j.f.Sync()
-}
-
-func (j *journal) close() {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.f.Close()
 }
 
 // pendingJobs folds a record list into the accepted-but-unfinished set,

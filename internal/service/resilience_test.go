@@ -49,7 +49,6 @@ func TestJournalTornTailReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New failed on torn journal tail: %v", err)
 	}
-	t.Cleanup(s2.Close)
 	if got := s2.QueueLen(); got != 1 {
 		t.Fatalf("replayed queue length = %d, want 1 (the intact record)", got)
 	}
@@ -59,6 +58,30 @@ func TestJournalTornTailReplay(t *testing.T) {
 	s2.Start()
 	if v := waitDone(t, s2, j.ID, 2*time.Minute); v.State != StateDone {
 		t.Fatalf("replayed job state = %q (%+v)", v.State, v.Error)
+	}
+	s2.Close()
+
+	// The finish record written after the torn tail must stand on its
+	// own line: the finished job never replays again, and the appends of
+	// the next life leave a journal that still opens.
+	s3, err := New(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatalf("third start: %v", err)
+	}
+	if got := s3.QueueLen(); got != 0 {
+		t.Fatalf("third start replayed %d job(s), want 0 (the job finished)", got)
+	}
+	if _, body := s3.Submit(SubmitRequest{Workload: "bfs", Policy: "static", Scale: 8, SMs: 2}); body != nil {
+		t.Fatalf("submit: %v", body)
+	}
+	s3.Close()
+	s4, err := New(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatalf("fourth start: %v", err)
+	}
+	defer s4.Close()
+	if got := s4.QueueLen(); got != 1 {
+		t.Fatalf("fourth start replayed %d job(s), want 1 (the unstarted submit)", got)
 	}
 }
 

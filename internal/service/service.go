@@ -14,6 +14,7 @@ import (
 	"regmutex/internal/core"
 	"regmutex/internal/harness"
 	"regmutex/internal/isa"
+	"regmutex/internal/jsonl"
 	"regmutex/internal/obs"
 	"regmutex/internal/occupancy"
 	"regmutex/internal/runpool"
@@ -98,7 +99,7 @@ type Service struct {
 	pool    *runpool.Pool
 	queue   *jobQueue
 	limiter *rateLimiter
-	journal *journal
+	journal *jsonl.Log[journalRecord]
 	metrics *obs.Registry
 	spans   *obs.SpanRecorder
 
@@ -124,9 +125,13 @@ func New(cfg Config) (*Service, error) {
 	if jlog == nil {
 		jlog = obs.NopLogger()
 	}
-	jn, records, err := openJournal(cfg.JournalPath, !cfg.JournalNoSync, jlog)
+	jn, records, torn, err := jsonl.Open[journalRecord](cfg.JournalPath, !cfg.JournalNoSync)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("journal %w", err)
+	}
+	if torn > 0 {
+		jlog.Warn("journal: dropped torn final record (crash mid-append)",
+			"subsystem", "journal", "path", cfg.JournalPath, "line", torn)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
@@ -159,6 +164,14 @@ func New(cfg Config) (*Service, error) {
 	s.metrics.Gauge("service.queue_depth")
 	s.metrics.Gauge("service.queue_oldest_age_seconds")
 	s.metrics.Gauge("service.memo_hit_rate")
+	// Fresh IDs start past every journaled one: a reused ID would let an
+	// old finish record shadow the new job's accept on the next replay.
+	for _, rec := range records {
+		var n int64
+		if _, err := fmt.Sscanf(rec.ID, "j%d", &n); err == nil && n > s.nextID {
+			s.nextID = n
+		}
+	}
 	for _, rec := range pendingJobs(records) {
 		j := s.track(rec.ID, *rec.Req)
 		if !s.queue.push(j) {
@@ -197,16 +210,11 @@ func (s *Service) Start() {
 	}
 }
 
-// track registers a job under an explicit ID (journal replay) and bumps
-// nextID past it so fresh IDs never collide.
+// track registers a job under an explicit ID (journal replay).
 func (s *Service) track(id string, req SubmitRequest) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
-	var n int64
-	if _, err := fmt.Sscanf(id, "j%d", &n); err == nil && n >= s.nextID {
-		s.nextID = n + 1
-	}
 	j := newJob(id, req, s.nextID)
 	s.jobs[id] = j
 	return j
@@ -238,9 +246,9 @@ func (s *Service) Submit(req SubmitRequest) (*Job, *ErrorBody) {
 	s.jobs[id] = j
 	s.mu.Unlock()
 
-	if err := s.journal.append(journalRecord{Op: "accept", ID: id, Req: &req}); err != nil {
+	if err := s.journal.Append(journalRecord{Op: "accept", ID: id, Req: &req}); err != nil {
 		s.forget(id)
-		return nil, &ErrorBody{Code: CodeInternal, Message: err.Error()}
+		return nil, &ErrorBody{Code: CodeInternal, Message: "journal: " + err.Error()}
 	}
 	if !s.queue.push(j) {
 		s.metrics.Counter("service.rejected_queue_full").Inc()
@@ -408,7 +416,11 @@ func (s *Service) Cancel(id string) (*Job, bool) {
 // telemetry: lifecycle spans into the queue-wait/run/e2e histograms and
 // one structured finish log with the measured durations.
 func (s *Service) finishRecord(j *Job) {
-	s.journal.append(journalRecord{Op: "finish", ID: j.ID, End: j.State()})
+	if err := s.journal.Append(journalRecord{Op: "finish", ID: j.ID, End: j.State()}); err != nil {
+		// The job re-runs on the next start; say why.
+		s.logger().Warn("journal: finish record lost", "subsystem", "journal",
+			"path", s.cfg.JournalPath, "job", j.ID, "err", err)
+	}
 	queueWait, run, e2e := j.spans()
 	if e2e <= 0 {
 		return // rollback of a never-admitted job: nothing to measure
@@ -732,5 +744,5 @@ func (s *Service) Close() {
 	s.cancel()
 	s.queue.close()
 	s.wg.Wait()
-	s.journal.close()
+	s.journal.Close()
 }

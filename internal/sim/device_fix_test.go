@@ -9,7 +9,7 @@ import (
 )
 
 // TestEmptyGlobalAccess pins the empty-segment behavior of global memory:
-// a non-nil zero-length slice (which NewDevice keeps as-is) must not
+// a non-nil zero-length slice (which New keeps as-is) must not
 // panic the interpreter; loads read zero, stores are dropped, and every
 // access is counted out-of-bounds.
 func TestEmptyGlobalAccess(t *testing.T) {
@@ -22,7 +22,7 @@ func TestEmptyGlobalAccess(t *testing.T) {
 	k := b.MustKernel()
 	k.GridCTAs = 1
 
-	d, err := NewDevice(smallCfg(), DefaultTiming(), k, nil, []uint64{})
+	d, err := New(DeviceSpec{Config: smallCfg(), Timing: DefaultTiming(), Kernel: k}, WithGlobal([]uint64{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,14 +59,16 @@ func TestMultiDeviceFunctionalIsolation(t *testing.T) {
 	ka, kb, ga, gb := twoKernels(t)
 
 	// Reference: each kernel alone.
-	refA, err := NewDevice(cfg, DefaultTiming(), ka, nil, append([]uint64(nil), ga...))
+	refA, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: ka},
+		WithGlobal(append([]uint64(nil), ga...)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := refA.Run(); err != nil {
 		t.Fatal(err)
 	}
-	refB, err := NewDevice(cfg, DefaultTiming(), kb, nil, append([]uint64(nil), gb...))
+	refB, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: kb},
+		WithGlobal(append([]uint64(nil), gb...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,8 @@ func TestMultiDeviceImprovesUtilisation(t *testing.T) {
 		k *isa.Kernel
 		g []uint64
 	}{{ka, ga}, {kb, gb}} {
-		d, err := NewDevice(cfg, DefaultTiming(), p.k, nil, append([]uint64(nil), p.g...))
+		d, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: p.k},
+			WithGlobal(append([]uint64(nil), p.g...)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,8 +166,9 @@ func TestMultiDeviceResourceAccounting(t *testing.T) {
 		}
 	}
 	check()
+	// NewMultiDevice takes no options: attach the observer directly.
 	d.SampleInterval = 64
-	d.Sampler = func(Sample) { check() }
+	d.obs = ObserverFuncs{Sample: func(Sample) { check() }}
 	if _, err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +208,8 @@ func TestMultiDeviceSingleKernelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d1, err := NewDevice(cfg, DefaultTiming(), pre, nil, append([]uint64(nil), g...))
+	d1, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: pre},
+		WithGlobal(append([]uint64(nil), g...)))
 	if err != nil {
 		t.Fatal(err)
 	}

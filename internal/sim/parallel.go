@@ -33,8 +33,7 @@ type smPool struct {
 
 // newSMPool starts one goroutine per worker over contiguous SM shards
 // (sized within ±1 SM of each other) and switches every SM's observer
-// path to per-cycle buffering when an observer or legacy listener is
-// attached.
+// path to per-cycle buffering when an observer is attached.
 func newSMPool(d *Device, workers int) *smPool {
 	p := &smPool{d: d, done: make(chan int, workers)}
 	n := len(d.sms)
@@ -52,7 +51,7 @@ func newSMPool(d *Device, workers int) *smPool {
 		p.work = append(p.work, ch)
 		go p.worker(shard, ch)
 	}
-	if d.observing() {
+	if d.obs != nil {
 		for _, sm := range d.sms {
 			sm.buffered = true
 		}

@@ -48,7 +48,8 @@ func TestOWFBarrierRelease(t *testing.T) {
 	}
 	st := &owfState{threshold: 12, owner: make([]int, cfg.MaxWarpsPerSM/2+1)}
 	_ = st
-	d, err := NewDevice(cfg, DefaultTiming(), pre, NewOWFPolicy(cfg, 12), nil)
+	d, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: pre},
+		WithPolicy(NewOWFPolicy(cfg, 12)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,8 @@ func TestRFVAllocationLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDevice(cfg, DefaultTiming(), pre, NewRFVPolicy(cfg), nil)
+	d, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: pre},
+		WithPolicy(NewRFVPolicy(cfg)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestLooseRoundRobinDeterminism(t *testing.T) {
 	timing.LooseRoundRobin = true
 	var prev int64 = -1
 	for i := 0; i < 2; i++ {
-		d, err := NewDevice(cfg, timing, pre, nil, nil)
+		d, err := New(DeviceSpec{Config: cfg, Timing: timing, Kernel: pre})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +269,8 @@ func TestTransformEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d1, err := NewDevice(cfg, DefaultTiming(), pre, nil, append([]uint64(nil), input...))
+		d1, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: pre},
+			WithGlobal(append([]uint64(nil), input...)))
 		if err != nil {
 			return false
 		}
@@ -282,7 +285,8 @@ func TestTransformEquivalenceProperty(t *testing.T) {
 			// not an equivalence failure.
 			return true
 		}
-		d2, err := NewDevice(cfg, DefaultTiming(), res.Kernel, NewRegMutexPolicy(cfg), append([]uint64(nil), input...))
+		d2, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: res.Kernel},
+			WithPolicy(NewRegMutexPolicy(cfg)), WithGlobal(append([]uint64(nil), input...)))
 		if err != nil {
 			return false
 		}
@@ -316,7 +320,7 @@ func TestDeviceOOBAccounting(t *testing.T) {
 	}
 	cfg := occupancy.GTX480()
 	cfg.NumSMs = 1
-	d, err := NewDevice(cfg, DefaultTiming(), pre, nil, nil)
+	d, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: pre})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,12 +341,13 @@ func TestDeviceEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDevice(cfg, DefaultTiming(), res.Kernel, NewRegMutexPolicy(cfg), nil)
+	counts := map[string]int{}
+	d, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: res.Kernel},
+		WithPolicy(NewRegMutexPolicy(cfg)),
+		WithObserver(ObserverFuncs{Event: func(ev Event) { counts[ev.Kind]++ }}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := map[string]int{}
-	d.Listener = func(ev Event) { counts[ev.Kind]++ }
 	if _, err := d.Run(); err != nil {
 		t.Fatal(err)
 	}

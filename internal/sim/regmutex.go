@@ -96,7 +96,7 @@ func (s *regmutexState) TryIssue(w *Warp, in *isa.Instr, now int64) bool {
 	}
 }
 
-// emit forwards an event to the device listener (absent in unit tests).
+// emit forwards an event to the device observer (absent in unit tests).
 // It goes through the SM so the parallel engine can buffer it for
 // in-order replay at the cycle barrier.
 func (s *regmutexState) emit(ev Event) {
@@ -109,7 +109,7 @@ func (s *regmutexState) emit(ev Event) {
 // emitFail reports a failed acquire attempt. It fires every retry cycle,
 // so the Event is only built while something is observing.
 func (s *regmutexState) emitFail(now int64, widx int) {
-	if s.sm != nil && s.sm.dev.observing() {
+	if s.sm != nil && s.sm.dev.obs != nil {
 		s.emit(Event{Cycle: now, Kind: "acquire-fail", Warp: widx, Data: -1})
 	}
 }

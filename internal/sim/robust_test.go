@@ -60,7 +60,8 @@ func TestNoFreeWarpSlotTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDevice(cfg, DefaultTiming(), pre, NewStaticPolicy(cfg), make([]uint64, k.GlobalMemWords))
+	d, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: pre},
+		WithPolicy(NewStaticPolicy(cfg)), WithGlobal(make([]uint64, k.GlobalMemWords)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,8 @@ func TestMaxCyclesIsTypedLivelock(t *testing.T) {
 	}
 	timing := DefaultTiming()
 	timing.MaxCycles = 10_000
-	d, err := NewDevice(cfg, timing, pre, NewStaticPolicy(cfg), make([]uint64, 64))
+	d, err := New(DeviceSpec{Config: cfg, Timing: timing, Kernel: pre},
+		WithPolicy(NewStaticPolicy(cfg)), WithGlobal(make([]uint64, 64)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +136,11 @@ func TestMaxCyclesIsTypedLivelock(t *testing.T) {
 // that starves acquires while the rest of the machine stays busy.
 type blockAcqPolicy struct{ inner Policy }
 
-func (p blockAcqPolicy) Name() string                  { return p.inner.Name() + "+blockacq" }
-func (p blockAcqPolicy) CTAsPerSM(k *isa.Kernel) int   { return p.inner.CTAsPerSM(k) }
-func (p blockAcqPolicy) NewSMState(sm *SM) PolicyState { return &blockAcqState{inner: p.inner.NewSMState(sm)} }
+func (p blockAcqPolicy) Name() string                { return p.inner.Name() + "+blockacq" }
+func (p blockAcqPolicy) CTAsPerSM(k *isa.Kernel) int { return p.inner.CTAsPerSM(k) }
+func (p blockAcqPolicy) NewSMState(sm *SM) PolicyState {
+	return &blockAcqState{inner: p.inner.NewSMState(sm)}
+}
 
 type blockAcqState struct {
 	inner    PolicyState
@@ -197,7 +201,8 @@ func TestLivelockWatchdogCatchesAcquireSpin(t *testing.T) {
 	timing.MaxCycles = 1_000_000
 	timing.ProgressEpoch = 2_000
 	timing.LivelockEpochs = 2
-	d, err := NewDevice(cfg, timing, pre, blockAcqPolicy{inner: NewStaticPolicy(cfg)}, make([]uint64, 64))
+	d, err := New(DeviceSpec{Config: cfg, Timing: timing, Kernel: pre},
+		WithPolicy(blockAcqPolicy{inner: NewStaticPolicy(cfg)}), WithGlobal(make([]uint64, 64)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -392,6 +392,11 @@ func TestReadTraceTornAndCorrupt(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("mid-file corruption not reported: %v", err)
 	}
+	// The error names the corrupt line itself, blank lines counted.
+	_, err = ReadTrace(strings.NewReader(valid + valid + "GARBAGE\n\n" + valid))
+	if err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Fatalf("corruption on line 3 reported as: %v", err)
+	}
 	// Offsets must not go backwards after normalization.
 	back := `{"at_ms":100,"req":{"workload":"bfs"}}` + "\n" + `{"at_ms":50,"req":{"workload":"bfs"}}` + "\n"
 	recs, err = ReadTrace(strings.NewReader(back))

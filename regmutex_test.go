@@ -88,7 +88,8 @@ top:
 		{"owf", pre, regmutex.NewOWFPolicy(machine, res.Split.Bs)},
 		{"rfv", pre, regmutex.NewRFVPolicy(machine)},
 	} {
-		dev, err := regmutex.NewDevice(machine, regmutex.DefaultTiming(), tc.kernel, tc.pol, nil)
+		dev, err := regmutex.New(regmutex.DeviceSpec{Config: machine, Timing: regmutex.DefaultTiming(), Kernel: tc.kernel},
+			regmutex.WithPolicy(tc.pol))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
